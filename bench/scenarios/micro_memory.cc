@@ -1,6 +1,7 @@
 // Microbenchmarks for the paged KV memory subsystem (src/memory/, ISSUE 4):
-// allocator churn, copy-on-write fork/free storms, and the swap-vs-recompute
-// preemption policies under an overloaded replica.
+// allocator churn, copy-on-write fork/free storms, the swap-vs-recompute
+// preemption policies under an overloaded replica, and the probe's O(1)
+// occupancy read against the radix-tree traversal it replaced.
 //
 // ns_per_op is wall clock (deterministic = false); the checksums are
 // deterministic and double as a cheap behavior pin. As with the other micro
@@ -33,6 +34,16 @@ MetricRow MicroRow(const std::string& label, double total_ns,
   row.Set("iterations", static_cast<double>(iterations));
   row.Set("checksum", checksum);
   return row;
+}
+
+const MetricRow* FindRow(const std::vector<MetricRow>& rows,
+                         const std::string& label) {
+  for (const MetricRow& row : rows) {
+    if (row.label == label) {
+      return &row;
+    }
+  }
+  return nullptr;
 }
 
 double ElapsedNs(const std::chrono::steady_clock::time_point& start) {
@@ -312,32 +323,151 @@ Scenario MakeMicroMemoryScenario() {
                 label, ElapsedNs(start), iterations * 24, checksum)};
           }});
     }
+
+    // Probe-occupancy cell: the heartbeat probe reads the radix cache's
+    // exact page occupancy every 100 ms per replica. A warm paged cache
+    // shared with live sequences (pinned paths, boundary pages a sequence
+    // still extends) churns under publishes, pin flips, and eviction; at
+    // every sample the O(1) counters (CountBlocks) and the full traversal
+    // (CountBlocksSlow) are both read and compared. `match` is 1 only if
+    // they agreed at every sample. Reads go through a volatile member
+    // pointer so neither can be hoisted out of its timing loop.
+    {
+      const std::string label = "probe_occupancy";
+      const int64_t samples = options.smoke ? 2'000 : 40'000;
+      plan.cells.push_back(ScenarioCell{
+          label, [label, samples] {
+            using Read = PrefixCache::BlockOccupancy (PrefixCache::*)() const;
+            Read volatile counters_read = &PrefixCache::CountBlocks;
+            Read volatile traversal_read = &PrefixCache::CountBlocksSlow;
+            constexpr int32_t kBs = 16;
+            constexpr int64_t kCounterReads = 64;
+            constexpr size_t kLive = 8;
+            BlockAllocator alloc(1 << 16);
+            PrefixCache cache(24'000, &alloc, kBs);
+            std::vector<PinId> pins(kLive, kInvalidPin);
+            std::vector<BlockTable> tables(kLive);
+            SimTime now = 0;
+            double counter_ns = 0;
+            double traversal_ns = 0;
+            double counter_sum = 0;
+            double traversal_sum = 0;
+            bool match = true;
+            for (int64_t i = 0; i < samples; ++i) {
+              // One conversation turn of one of 48 families: unaligned
+              // family prefix, unaligned per-turn suffix.
+              const Token family = static_cast<Token>(i % 48);
+              TokenSeq seq;
+              for (Token t = 0; t < 203 + family * 5; ++t) {
+                seq.push_back(family * 100'000 + t);
+              }
+              const int64_t turn = 29 + (i * 7) % 173;
+              for (int64_t t = 0; t < turn; ++t) {
+                seq.push_back(50'000'000 + static_cast<Token>(i % 389) * 1000 +
+                              static_cast<Token>(t));
+              }
+              // Publish like a replica: the sequence's path-aligned table
+              // donates its pages, keeps the straddled tail page shared, and
+              // its pin stays live until its slot comes round again.
+              const size_t slot = static_cast<size_t>(i) % kLive;
+              if (pins[slot] != kInvalidPin) {
+                cache.Unref(pins[slot]);
+              }
+              tables[slot].Clear(alloc);
+              const int64_t len = static_cast<int64_t>(seq.size());
+              tables[slot].Append(alloc, kBs, len);
+              cache.Insert(seq, ++now, &tables[slot], 0);
+              pins[slot] = cache.MatchAndRef(seq, ++now).pin;
+              tables[slot].ReleasePrefix(alloc, kBs, len - len % kBs);
+              if ((i & 15) == 0) {
+                cache.Evict(48 + (i % 32));
+              }
+              PrefixCache::BlockOccupancy fast;
+              const auto t0 = std::chrono::steady_clock::now();
+              for (int64_t r = 0; r < kCounterReads; ++r) {
+                const Read read = counters_read;
+                fast = (cache.*read)();
+              }
+              const auto t1 = std::chrono::steady_clock::now();
+              const Read read = traversal_read;
+              const PrefixCache::BlockOccupancy slow = (cache.*read)();
+              const auto t2 = std::chrono::steady_clock::now();
+              counter_ns += static_cast<double>(
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                      .count());
+              traversal_ns += static_cast<double>(
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1)
+                      .count());
+              match = match && fast.held_blocks == slow.held_blocks &&
+                      fast.evictable_blocks == slow.evictable_blocks;
+              counter_sum += static_cast<double>(fast.held_blocks) +
+                             static_cast<double>(fast.evictable_blocks) * 1e-6;
+              traversal_sum +=
+                  static_cast<double>(slow.held_blocks) +
+                  static_cast<double>(slow.evictable_blocks) * 1e-6;
+            }
+            for (size_t i = 0; i < kLive; ++i) {
+              if (pins[i] != kInvalidPin) {
+                cache.Unref(pins[i]);
+              }
+              tables[i].Clear(alloc);
+            }
+            MetricRow counters =
+                MicroRow(label + "/counters", counter_ns,
+                         samples * kCounterReads, counter_sum);
+            counters.Set("match", match ? 1.0 : 0.0);
+            return std::vector<MetricRow>{
+                counters, MicroRow(label + "/traversal", traversal_ns, samples,
+                                   traversal_sum)};
+          }});
+    }
     plan.finalize = [](const std::vector<std::vector<MetricRow>>& cell_rows) {
       ScenarioReport report;
       for (const auto& rows : cell_rows) {
         report.rows.insert(report.rows.end(), rows.begin(), rows.end());
       }
-      // Cell order: alloc_churn b1/b16/b32, cow_fork_storm,
-      // cache_block_churn, evict_churn lruleaf (5) / coldsubtree (6),
-      // overload recompute/swap. The eviction-efficiency ratio is built
-      // from deterministic eviction counters, not wall clock, so it is
-      // stable enough to gate in CI (micro_memory_floors.json).
-      auto metric = [&](size_t i, const char* key) {
-        const double* v = report.rows[i].Find(key);
+      // Rows are found by label, so a --cells-filtered run drops the
+      // derived metrics over absent rows instead of indexing past the end.
+      // The eviction-efficiency ratio is built from deterministic eviction
+      // counters, not wall clock, so it is stable enough to gate in CI
+      // (micro_memory_floors.json).
+      auto metric = [](const MetricRow* row, const char* key) {
+        const double* v = row->Find(key);
         return v == nullptr ? 0.0 : *v;
       };
       auto safe_div = [](double a, double b) { return b <= 0 ? 0.0 : a / b; };
-      report.derived.emplace_back(
-          "coldsubtree_vs_lruleaf_pages_per_eviction_x",
-          safe_div(metric(6, "pages_per_eviction"),
-                   metric(5, "pages_per_eviction")));
-      report.derived.emplace_back("evict_churn_lruleaf_rounds",
-                                  metric(5, "evictions"));
-      report.derived.emplace_back("evict_churn_coldsubtree_rounds",
-                                  metric(6, "evictions"));
-      report.notes.push_back(
-          "evict_churn: cold-subtree eviction must reclaim more pages per "
-          "eviction round than LRU-leaf on the hot/cold skewed tree.");
+      const MetricRow* lru = FindRow(report.rows, "evict_churn/lruleaf");
+      const MetricRow* cold = FindRow(report.rows, "evict_churn/coldsubtree");
+      if (lru != nullptr && cold != nullptr) {
+        report.derived.emplace_back(
+            "coldsubtree_vs_lruleaf_pages_per_eviction_x",
+            safe_div(metric(cold, "pages_per_eviction"),
+                     metric(lru, "pages_per_eviction")));
+        report.derived.emplace_back("evict_churn_lruleaf_rounds",
+                                    metric(lru, "evictions"));
+        report.derived.emplace_back("evict_churn_coldsubtree_rounds",
+                                    metric(cold, "evictions"));
+        report.notes.push_back(
+            "evict_churn: cold-subtree eviction must reclaim more pages per "
+            "eviction round than LRU-leaf on the hot/cold skewed tree.");
+      }
+      // Probe occupancy: exactness is hard equality (floor 1.0); the speedup
+      // is wall clock, floored far below its measured value.
+      const MetricRow* counters =
+          FindRow(report.rows, "probe_occupancy/counters");
+      const MetricRow* traversal =
+          FindRow(report.rows, "probe_occupancy/traversal");
+      if (counters != nullptr && traversal != nullptr) {
+        report.derived.emplace_back("occupancy_match",
+                                    metric(counters, "match"));
+        report.derived.emplace_back(
+            "occupancy_counter_vs_traversal_speedup_x",
+            safe_div(metric(traversal, "ns_per_op"),
+                     metric(counters, "ns_per_op")));
+        report.notes.push_back(
+            "probe_occupancy: the O(1) ledger counters must equal the radix "
+            "traversal at every sample (occupancy_match = 1).");
+      }
       return report;
     };
     return plan;

@@ -27,6 +27,7 @@ PrefixCache::PrefixCache(int64_t capacity_tokens, BlockAllocator* alloc,
                          int32_t block_size_tokens, EvictionPolicy policy)
     : capacity_tokens_(capacity_tokens),
       block_size_(block_size_tokens),
+      tally_pages_(block_size_tokens > 1),
       policy_(policy),
       maintain_aggregates_(policy == EvictionPolicy::kColdSubtree) {
   SKYWALKER_CHECK(block_size_ >= 1) << "block size";
@@ -36,6 +37,11 @@ PrefixCache::PrefixCache(int64_t capacity_tokens, BlockAllocator* alloc,
     alloc = owned_alloc_.get();
   }
   alloc_ = alloc;
+  if (tally_pages_) {
+    // Paged mode keeps the exact occupancy in the allocator's cache-
+    // reference tally; coarse mode reads it off the token counters.
+    alloc_->EnableCacheTally();
+  }
   root_ = nodes_.Alloc();
 }
 
@@ -52,8 +58,12 @@ PrefixCache::~PrefixCache() {
       (void)token;
       stack.push_back(child);
     }
-    alloc_->ReleaseSpan(n.blocks.data,
-                        static_cast<int64_t>(n.blocks.size()));
+    alloc_->ReleaseCacheSpan(n.blocks.data,
+                             static_cast<int64_t>(n.blocks.size()),
+                             n.ref_count > 0);
+  }
+  if (tally_pages_) {
+    alloc_->DisableCacheTally();
   }
 }
 
@@ -85,7 +95,10 @@ SlabId PrefixCache::SplitAbove(SlabId id, size_t keep, int64_t start) {
   upper.blocks = lower.blocks.Prefix(static_cast<size_t>(upper_len));
   block_pool_.AddRef(upper.blocks);  // One slice view became two.
   if (mid % block_size_ != 0) {
-    alloc_->AddRef(lower.blocks[static_cast<size_t>(lower_from)]);
+    // The straddled page's new reference belongs to the upper half, which
+    // shares the lower half's pins.
+    alloc_->AddCacheRef(lower.blocks[static_cast<size_t>(lower_from)],
+                        lower.ref_count > 0);
     ++block_refs_;
   }
   lower.blocks = lower.blocks.Suffix(static_cast<size_t>(lower_from));
@@ -168,6 +181,11 @@ PrefixCache::MatchRef PrefixCache::MatchAndRef(const TokenSeq& seq,
     Node& nd = node(n);
     if (nd.ref_count == 0) {
       pinned_tokens_ += static_cast<int64_t>(nd.edge.size());
+      if (tally_pages_) {
+        alloc_->SetCacheSpanPinned(nd.blocks.data,
+                                   static_cast<int64_t>(nd.blocks.size()),
+                                   true);
+      }
     }
     ++nd.ref_count;
   }
@@ -200,6 +218,11 @@ void PrefixCache::Unref(PinId pin) {
     SKYWALKER_CHECK(n.ref_count >= 0) << "negative refcount";
     if (n.ref_count == 0) {
       pinned_tokens_ -= static_cast<int64_t>(n.edge.size());
+      if (tally_pages_) {
+        alloc_->SetCacheSpanPinned(n.blocks.data,
+                                   static_cast<int64_t>(n.blocks.size()),
+                                   false);
+      }
     }
     cur = n.parent;
   }
@@ -235,7 +258,7 @@ int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
     span_scratch_.resize(static_cast<size_t>(last - first));
     if (donor == nullptr) {
       // Bare insert: a whole span of fresh pages in one allocator pass.
-      alloc_->AllocateSpan(last - first, span_scratch_.data());
+      alloc_->AllocateCacheSpan(last - first, span_scratch_.data());
     } else {
       const int64_t donor_first = PageFloor(donor_base, block_size_);
       for (int64_t j = first; j < last; ++j) {
@@ -243,12 +266,12 @@ int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
         const int64_t di = j - donor_first;
         if (di >= 0 && di < donor->num_blocks()) {
           id = donor->blocks()[static_cast<size_t>(di)];
-          alloc_->AddRef(id);
+          alloc_->AddCacheRef(id, /*pinned=*/false);  // New leaf: no pins.
         }
         if (id == kInvalidBlockId) {
           // Re-publish after eviction: the donor no longer covers this
           // position; it gets a fresh page (rare corner, single alloc).
-          id = alloc_->Allocate();
+          alloc_->AllocateCacheSpan(1, &id);
         }
         span_scratch_[static_cast<size_t>(j - first)] = id;
       }
@@ -393,8 +416,8 @@ int64_t PrefixCache::RemoveLeaf(SlabId leaf) {
   // (or still referenced by a running sequence's table) survive in the
   // allocator until their last holder lets go — the return value counts
   // only what actually hit the free list.
-  const int64_t freed = alloc_->ReleaseSpan(
-      n.blocks.data, static_cast<int64_t>(n.blocks.size()));
+  const int64_t freed = alloc_->ReleaseCacheSpan(
+      n.blocks.data, static_cast<int64_t>(n.blocks.size()), /*pinned=*/false);
   block_refs_ -= static_cast<int64_t>(n.blocks.size());
   block_pool_.Release(n.blocks);
   n.blocks = BlockSlice{};
@@ -429,8 +452,9 @@ int64_t PrefixCache::RemoveSubtree(SlabId id) {
     size_tokens_ -= static_cast<int64_t>(n.edge.size());
     --num_nodes_;
     pool_.Release(n.edge);
-    freed += alloc_->ReleaseSpan(n.blocks.data,
-                                 static_cast<int64_t>(n.blocks.size()));
+    freed += alloc_->ReleaseCacheSpan(
+        n.blocks.data, static_cast<int64_t>(n.blocks.size()),
+        /*pinned=*/false);
     block_refs_ -= static_cast<int64_t>(n.blocks.size());
     block_pool_.Release(n.blocks);
     n.blocks = BlockSlice{};
@@ -551,16 +575,24 @@ int64_t PrefixCache::PinnedTokensSlow() const {
 
 PrefixCache::BlockOccupancy PrefixCache::CountBlocks() const {
   BlockOccupancy occ;
-  if (block_size_ == 1) {
+  if (!tally_pages_) {
     // A one-token page can never straddle a node boundary or hold both
     // cache and sequence content, so no page is ever shared in coarse mode
     // (transfer transients resolve within the same event) and occupancy
-    // reduces exactly to the token counters — O(nodes) instead of walking
-    // every page reference, which matters because probes call this every
-    // heartbeat.
+    // reduces exactly to the token counters.
     occ.held_blocks = size_tokens_;
     occ.evictable_blocks = size_tokens_ - pinned_tokens();
     return occ;
+  }
+  occ.held_blocks = alloc_->cache_held_blocks();
+  occ.evictable_blocks = alloc_->cache_evictable_blocks();
+  return occ;
+}
+
+PrefixCache::BlockOccupancy PrefixCache::CountBlocksSlow() const {
+  BlockOccupancy occ;
+  if (!tally_pages_) {
+    return CountBlocks();  // Coarse mode: the token counters are exact.
   }
   ++tally_gen_;
   tally_touched_.clear();
@@ -655,9 +687,18 @@ bool PrefixCache::CheckInvariants() const {
       block_refs != block_refs_) {
     ok = false;
   }
-  // The incremental pinned-token counter must match the tree's truth.
+  // The incremental pinned-token counter must match the tree's truth, and
+  // so must the allocator's occupancy tally (paged mode).
   if (PinnedTokensSlow() != pinned_tokens_) {
     ok = false;
+  }
+  if (tally_pages_) {
+    const BlockOccupancy fast = CountBlocks();
+    const BlockOccupancy slow = CountBlocksSlow();
+    if (fast.held_blocks != slow.held_blocks ||
+        fast.evictable_blocks != slow.evictable_blocks) {
+      ok = false;
+    }
   }
   // Arena accounting: every tree node is live in the slab (plus the root),
   // every non-root node holds exactly one token-pool reference and one

@@ -197,18 +197,25 @@ class PrefixCache {
   // CountBlocks().held_blocks.
   int64_t block_refs() const { return block_refs_; }
 
-  // Exact page occupancy of the tree, by full traversal: `held_blocks` is
-  // the number of distinct pages some node references; `evictable_blocks`
-  // counts pages that would return to the free list if every unpinned node
-  // were evicted — i.e. pages whose every allocator reference comes from an
-  // unpinned node (pages also held by pinned paths or live sequences are
-  // not evictable). Scratch buffers are reused across calls, so the probe
-  // path stays allocation-free in steady state.
+  // Exact page occupancy of the tree: `held_blocks` is the number of
+  // distinct pages some node references; `evictable_blocks` counts pages
+  // that would return to the free list if every unpinned node were evicted
+  // — i.e. pages whose every allocator reference comes from an unpinned
+  // node (pages also held by pinned paths or live sequences are not
+  // evictable). O(1), so every heartbeat probe can afford it: paged mode
+  // reads the allocator's cache-reference tally, which the cache keeps
+  // current at each reference change and each pin 0 <-> 1 transition;
+  // coarse mode reads the token counters.
   struct BlockOccupancy {
     int64_t held_blocks = 0;
     int64_t evictable_blocks = 0;
   };
   BlockOccupancy CountBlocks() const;
+  // The same figures by full traversal of every node's page span (the
+  // pre-tally definition). CheckInvariants compares it against
+  // CountBlocks(); tests and the probe_occupancy microbenchmark call it
+  // directly. Scratch buffers are reused across calls.
+  BlockOccupancy CountBlocksSlow() const;
 
   // Cumulative statistics (for cache-hit-rate reporting).
   int64_t lookup_tokens() const { return lookup_tokens_; }
@@ -306,6 +313,10 @@ class PrefixCache {
 
   int64_t capacity_tokens_;
   int32_t block_size_;
+  // Paged mode (block_size_ > 1): page references go through the
+  // allocator's cache-reference tally, including pin flips. Structural, not
+  // a knob — coarse occupancy is the token counters.
+  bool tally_pages_;
   EvictionPolicy policy_;
   // True while aggregates are being maintained (== policy is kColdSubtree);
   // hoisted into a bool so walk-path checks stay a single flag test.
@@ -331,8 +342,8 @@ class PrefixCache {
   GenSlotPool<SlabId> pins_;
 
   // Reused scratch: eviction's DFS stack and Insert's span assembly buffer
-  // (steady-state allocation freedom), plus CountBlocks' tally arrays
-  // (mutable: probes are logically const).
+  // (steady-state allocation freedom), plus CountBlocksSlow's tally arrays
+  // (mutable: the traversal is logically const).
   std::vector<SlabId> evict_stack_;
   std::vector<BlockId> span_scratch_;
   // Cold-pass candidate list (score precomputed; reused across passes).

@@ -21,6 +21,22 @@
 // and every derived quantity reduces to the seed's token-counter
 // arithmetic — the coarse compatibility mode that keeps historical
 // BENCH_*.json goldens byte-identical (DESIGN.md §9).
+//
+// Cache-reference tally (DESIGN.md §9, "Exact-ledger routing signals").
+// The radix cache takes and drops its page references through the
+// cache-tagged calls (AllocateCacheSpan, AddCacheRef, ReleaseCacheSpan,
+// SetCacheSpanPinned). While the tally is on, the allocator keeps per page
+// how many of its references are cache references and how many of those
+// come from unpinned nodes, and two running totals over them:
+//   held      = pages with at least one cache reference;
+//   evictable = pages with refs > 0 whose every reference is an unpinned
+//               cache reference (they would return to the free list if
+//               every unpinned node were evicted).
+// Every reference change re-classifies its page — sequence-side AddRef /
+// Release too, since a sequence sharing a page takes it out of the
+// evictable set — so the probe reads both totals in O(1). The owning cache
+// turns the tally on only in paged mode (block_size_tokens > 1); coarse
+// mode reduces occupancy to token counters and pays one predictable branch.
 
 #ifndef SKYWALKER_MEMORY_BLOCK_ALLOCATOR_H_
 #define SKYWALKER_MEMORY_BLOCK_ALLOCATOR_H_
@@ -76,6 +92,33 @@ class BlockAllocator {
   // below `blocks` live blocks never allocate heap memory.
   void Reserve(int64_t blocks);
 
+  // --- prefix-cache references (see the file comment) -------------------
+  // Turns the cache-reference tally on. Called by the one prefix cache that
+  // charges this pool, before it holds any reference; pages already held by
+  // sequences start with no cache references. Off again only once the cache
+  // has released everything (its destructor).
+  void EnableCacheTally();
+  void DisableCacheTally();
+
+  // Cache-tagged counterparts of AllocateSpan / AddRef / ReleaseSpan.
+  // `pinned` is the holding node's state (ref_count > 0); fresh spans are
+  // always unpinned (a new node has no pins). With the tally off they are
+  // exactly the untagged calls.
+  void AllocateCacheSpan(int64_t n, BlockId* out);
+  void AddCacheRef(BlockId id, bool pinned);
+  int64_t ReleaseCacheSpan(const BlockId* ids, int64_t n, bool pinned);
+  // Moves the cache references of one node span between pinned and
+  // unpinned (the node's ref_count crossed 0 <-> 1). No-op with the tally
+  // off.
+  void SetCacheSpanPinned(const BlockId* ids, int64_t n, bool pinned);
+
+  // The running totals (0 while the tally is off).
+  int64_t cache_held_blocks() const { return cache_held_; }
+  int64_t cache_evictable_blocks() const { return cache_evictable_; }
+  int32_t cache_ref_count(BlockId id) const {
+    return tally_on_ ? tally_[static_cast<size_t>(id)].cache : 0;
+  }
+
   int64_t capacity_blocks() const { return capacity_blocks_; }
   int64_t used_blocks() const { return used_blocks_; }
   // May be negative during transient overshoot (see file comment).
@@ -95,21 +138,53 @@ class BlockAllocator {
   void NoteCowCopy() { ++stats_.cow_copies; }
 
   // Structural soundness: used_blocks matches the number of ids with a
-  // positive refcount and the free list holds exactly the zero-ref ids.
+  // positive refcount and the free list holds exactly the zero-ref ids;
+  // with the tally on, every page satisfies unpinned <= cache <= refs and
+  // both running totals match a recount.
   bool CheckInvariants() const;
 
  private:
+  // Per-page cache-reference tally (indexed by BlockId, tally on only).
+  struct CacheTally {
+    int32_t cache = 0;     // References held by cache nodes.
+    int32_t unpinned = 0;  // ...of which by nodes with ref_count == 0.
+  };
+
+  bool Evictable(size_t slot) const {
+    const int32_t unpinned = tally_[slot].unpinned;
+    return unpinned > 0 && unpinned == refs_[slot];
+  }
+  // Folds a page's re-classification into the evictable total; `was` is
+  // its evictability before the reference change.
+  void Retally(size_t slot, bool was) {
+    cache_evictable_ +=
+        static_cast<int64_t>(Evictable(slot)) - static_cast<int64_t>(was);
+  }
+  // Sequence-side reference moved on a tallied page (AddRef / Release).
+  void RetallySeqRef(size_t slot, int32_t refs_before);
+  // AddCacheRef with the tally on (out of line: paged mode only).
+  void AddTalliedCacheRef(BlockId id, bool pinned);
+
   int64_t capacity_blocks_;
+  // Read by every inline reference operation: kept beside refs_.
+  bool tally_on_ = false;
   std::vector<int32_t> refs_;       // Indexed by BlockId.
   std::vector<BlockId> free_list_;  // LIFO: deterministic, cache-friendly.
   int64_t used_blocks_ = 0;
   BlockAllocatorStats stats_;
+  std::vector<CacheTally> tally_;  // Sized with refs_ while tally_on_.
+  int64_t cache_held_ = 0;
+  int64_t cache_evictable_ = 0;
 };
 
 // Allocate/AddRef/Release are defined inline: with block_size_tokens == 1
 // the decode hot loop hits them once per generated token — tens of millions
 // of calls per benchmark cell — and the out-of-line call overhead was
 // measurable (ISSUE 10).
+//
+// Coarse mode never turns the tally on, so each pays one predictable flag
+// test. A fresh page has no cache references and a single sequence
+// reference, so Allocate never changes either total.
 inline BlockId BlockAllocator::Allocate() {
   BlockId id;
   if (!free_list_.empty()) {
@@ -118,6 +193,9 @@ inline BlockId BlockAllocator::Allocate() {
   } else {
     id = static_cast<BlockId>(refs_.size());
     refs_.push_back(0);
+    if (tally_on_) {
+      tally_.emplace_back();
+    }
   }
   refs_[static_cast<size_t>(id)] = 1;
   ++used_blocks_;
@@ -127,20 +205,46 @@ inline BlockId BlockAllocator::Allocate() {
 }
 
 inline void BlockAllocator::AddRef(BlockId id) {
-  SKYWALKER_CHECK(refs_[static_cast<size_t>(id)] > 0) << "addref dead block";
-  ++refs_[static_cast<size_t>(id)];
+  int32_t& ref = refs_[static_cast<size_t>(id)];
+  SKYWALKER_CHECK(ref > 0) << "addref dead block";
+  ++ref;
+  if (tally_on_) {
+    RetallySeqRef(static_cast<size_t>(id), ref - 1);
+  }
 }
 
 inline bool BlockAllocator::Release(BlockId id) {
   int32_t& ref = refs_[static_cast<size_t>(id)];
   SKYWALKER_CHECK(ref > 0) << "release dead block";
-  if (--ref > 0) {
+  --ref;
+  if (tally_on_) {
+    RetallySeqRef(static_cast<size_t>(id), ref + 1);
+  }
+  if (ref > 0) {
     return false;
   }
   free_list_.push_back(id);
   --used_blocks_;
   ++stats_.freed;
   return true;
+}
+
+// Inline for coarse mode, where the radix cache publishes by reference
+// transfer once per token.
+inline void BlockAllocator::AddCacheRef(BlockId id, bool pinned) {
+  if (!tally_on_) {
+    AddRef(id);
+    return;
+  }
+  AddTalliedCacheRef(id, pinned);
+}
+
+inline void BlockAllocator::RetallySeqRef(size_t slot, int32_t refs_before) {
+  const CacheTally& t = tally_[slot];
+  // A cache reference dropped through the untagged path would leave the
+  // page with more cache references than references.
+  SKYWALKER_CHECK(t.cache <= refs_[slot]) << "untagged cache reference";
+  Retally(slot, t.unpinned > 0 && t.unpinned == refs_before);
 }
 
 }  // namespace skywalker

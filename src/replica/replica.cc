@@ -66,7 +66,20 @@ int64_t Replica::fragmentation_tokens() const {
          memory_used_tokens();
 }
 
+int64_t Replica::Footprint(const Seq& seq) const {
+  return seq.prompt_len() - seq.cached_len + config_.output_reserve_tokens;
+}
+
+void Replica::PushRunning(Seq seq) {
+  running_footprint_ += Footprint(seq);
+  running_.push_back(std::move(seq));
+}
+
 int Replica::EstimateFreeCapacity() const {
+  return FreeCapacityFor(running_footprint_);
+}
+
+int Replica::FreeCapacityFor(int64_t running_footprint) const {
   int free_slots = config_.max_running_requests -
                    static_cast<int>(running_.size()) - pending_count();
   if (free_slots <= 0) {
@@ -81,29 +94,36 @@ int Replica::EstimateFreeCapacity() const {
   }
   int64_t per_request = 512 + config_.output_reserve_tokens;
   if (!running_.empty()) {
-    int64_t total = 0;
-    for (const Seq& seq : running_) {
-      total += seq.prompt_len() - seq.cached_len +
-               config_.output_reserve_tokens;
-    }
-    per_request = std::max<int64_t>(64, total /
-                                            static_cast<int64_t>(running_.size()));
+    per_request = std::max<int64_t>(
+        64, running_footprint / static_cast<int64_t>(running_.size()));
   }
   int by_memory = static_cast<int>(free_tokens / per_request);
   return std::max(0, std::min(free_slots, by_memory));
 }
 
 Replica::LoadSnapshot Replica::Snapshot() const {
+  return SnapshotFrom(cache_.CountBlocks(), running_footprint_);
+}
+
+Replica::LoadSnapshot Replica::SnapshotSlow() const {
+  int64_t footprint = 0;
+  for (const Seq& seq : running_) {
+    footprint += Footprint(seq);
+  }
+  return SnapshotFrom(cache_.CountBlocksSlow(), footprint);
+}
+
+Replica::LoadSnapshot Replica::SnapshotFrom(
+    const PrefixCache::BlockOccupancy& occ, int64_t running_footprint) const {
   LoadSnapshot snap;
   snap.pending = pending_count();
   snap.running = running_count();
-  snap.free_capacity = EstimateFreeCapacity();
+  snap.free_capacity = FreeCapacityFor(running_footprint);
   // Routing headroom, exact (ISSUE 5): pages free in the pool plus pages a
   // full eviction of unpinned cache content would return (raw free blocks
   // read ~0 forever once the LRU cache warms up — the cache deliberately
   // keeps otherwise-idle pages resident), minus committed future. In coarse
   // mode this equals the seed estimate capacity - active - committed.
-  PrefixCache::BlockOccupancy occ = cache_.CountBlocks();
   snap.cache_blocks = occ.held_blocks;
   snap.evictable_blocks = occ.evictable_blocks;
   snap.free_blocks = std::max<int64_t>(
@@ -243,7 +263,7 @@ void Replica::Admit() {
     seq.prefill_alloc = 0;
     seq.decode_alloc = false;
     stats_.cached_tokens_reused += cached;
-    running_.push_back(std::move(seq));
+    PushRunning(std::move(seq));
     stats_.peak_running =
         std::max(stats_.peak_running, static_cast<int>(running_.size()));
     if (Tracer* t = sim_->tracer()) {
@@ -305,7 +325,7 @@ void Replica::FinishSwapIn(int64_t ticket) {
     }
     Seq seq = std::move(it->seq);
     restoring_.erase(it);
-    running_.push_back(std::move(seq));
+    PushRunning(std::move(seq));
     stats_.peak_running =
         std::max(stats_.peak_running, static_cast<int>(running_.size()));
     if (Tracer* t = sim_->tracer()) {
@@ -460,6 +480,7 @@ void Replica::FinishStep(double step_us, int decode_count) {
   std::vector<Seq> finished;
   for (auto it = running_.begin(); it != running_.end();) {
     if (it->prefill_done && it->generated >= it->output_len()) {
+      running_footprint_ -= Footprint(*it);
       finished.push_back(std::move(*it));
       it = running_.erase(it);
     } else {
@@ -594,6 +615,7 @@ void Replica::ReclaimMemory() {
   while (over > 0 && running_.size() > 1) {
     Seq seq = std::move(running_.back());
     running_.pop_back();
+    running_footprint_ -= Footprint(seq);
     ++stats_.preemptions;
     const bool swap = config_.kv_preempt_policy == PreemptPolicy::kSwap;
     if (Tracer* t = sim_->tracer()) {
@@ -691,6 +713,7 @@ void Replica::Crash() {
     kv_.ReleaseSeq(seq.kv);
   }
   running_.clear();
+  running_footprint_ = 0;
   for (SwappedSeq& swapped : swapped_) {
     if (swapped.seq.pin != kInvalidPin) {
       cache_.Unref(swapped.seq.pin);

@@ -276,8 +276,14 @@ class Replica {
   // count so balancers can bound their optimistic pushes between probes.
   int EstimateFreeCapacity() const;
 
-  // One-call probe payload: queue depths plus paged-memory headroom.
+  // One-call probe payload: queue depths plus paged-memory headroom. O(1):
+  // the cache occupancy comes from the ledger's running tally and the
+  // batch footprint from a running sum.
   LoadSnapshot Snapshot() const;
+  // The same snapshot recomputed the pre-counter way — a traversal of the
+  // radix cache (PrefixCache::CountBlocksSlow) and a loop over the batch.
+  // Tests compare it against Snapshot(); never on a hot path.
+  LoadSnapshot SnapshotSlow() const;
 
   // The heartbeat-probe RPC body (ISSUE 7): stamps the next probe version,
   // computes the preemption delta against the previous probe, and attaches
@@ -381,6 +387,17 @@ class Replica {
     EventId arrival = kInvalidEventId;
   };
 
+  // A running sequence's share of the batch footprint EstimateFreeCapacity
+  // averages: its uncached prompt plus the configured output reserve.
+  int64_t Footprint(const Seq& seq) const;
+  // Appends to running_, keeping running_footprint_ current. Every removal
+  // from running_ subtracts Footprint() of the sequence it takes out.
+  void PushRunning(Seq seq);
+  // EstimateFreeCapacity given the batch's total footprint.
+  int FreeCapacityFor(int64_t running_footprint) const;
+  LoadSnapshot SnapshotFrom(const PrefixCache::BlockOccupancy& occ,
+                            int64_t running_footprint) const;
+
   // Output reserve still unconsumed by `seq` (what re-admission and
   // swap-in must re-commit).
   int64_t ReserveRemaining(const Seq& seq) const;
@@ -446,6 +463,9 @@ class Replica {
 
   std::deque<Seq> pending_;
   std::vector<Seq> running_;  // Admission order (oldest first).
+  // Σ Footprint(seq) over running_ (cached_len is fixed while a sequence
+  // runs, so the sum stays exact).
+  int64_t running_footprint_ = 0;
   std::deque<SwappedSeq> swapped_;  // Swap-out order (oldest first).
   std::vector<RestoringSeq> restoring_;
   int64_t next_restore_ticket_ = 0;

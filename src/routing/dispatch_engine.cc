@@ -57,6 +57,27 @@ ReplicaId CandidateView::LeastLoadedAmong(
 
 // --- DispatchEngine ----------------------------------------------------
 
+namespace {
+
+// A selective push mode whose bound is below one admits nothing, ever:
+// IsAvailable's strict `< bound` test never holds, so every request would
+// sit in the queue silently. Reject such a config up front.
+void CheckPushBounds(const DispatchConfig& config) {
+  if (config.push_mode == PushMode::kSelectivePending) {
+    SKYWALKER_CHECK(config.push_slack >= 1)
+        << "DispatchConfig::push_slack must be >= 1 under SP-P (got "
+        << config.push_slack << ")";
+  }
+  if (config.push_mode == PushMode::kSelectiveOutstanding) {
+    SKYWALKER_CHECK(config.max_outstanding_per_replica >= 1)
+        << "DispatchConfig::max_outstanding_per_replica must be >= 1 under "
+           "SP-O (got "
+        << config.max_outstanding_per_replica << ")";
+  }
+}
+
+}  // namespace
+
 DispatchEngine::DispatchEngine(Simulator* sim, Network* net, RegionId region,
                                const DispatchConfig& config,
                                ReplicaSelector* selector,
@@ -68,6 +89,7 @@ DispatchEngine::DispatchEngine(Simulator* sim, Network* net, RegionId region,
       selector_(selector),
       callbacks_(std::move(callbacks)) {
   SKYWALKER_CHECK(selector_ != nullptr) << "engine needs a replica selector";
+  CheckPushBounds(config_);
   verify_selection_ = config_.verify_selection;
   probe_task_ = std::make_unique<PeriodicTask>(sim_, config_.probe_interval,
                                                [this] { ProbeAll(); });
@@ -143,6 +165,7 @@ void DispatchEngine::ResetProbeState() {
 }
 
 void DispatchEngine::ApplyConfig(const DispatchConfig& next) {
+  CheckPushBounds(next);
   config_ = next;
   verify_selection_ = config_.verify_selection;
   if (Tracer* t = sim_->tracer()) {

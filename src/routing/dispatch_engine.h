@@ -84,12 +84,15 @@ struct DispatchConfig {
   // Heartbeat probe period (paper §4.1 uses 100 ms).
   SimDuration probe_interval = Milliseconds(100);
 
-  // SP-O: fixed cap on outstanding requests per replica.
+  // SP-O: fixed cap on outstanding requests per replica. Must be >= 1
+  // under SP-O (checked at construction and ApplyConfig).
   int max_outstanding_per_replica = 24;
 
   // SP-P: optimistic pushes allowed per replica between two probes. Bounds
   // burst overshoot caused by probe staleness (DESIGN.md §5.3) while still
-  // letting an empty continuous batch fill within one probe window.
+  // letting an empty continuous batch fill within one probe window. Must be
+  // >= 1 under SP-P (checked at construction and ApplyConfig): at 0 no
+  // replica is ever available and every request waits forever.
   int push_slack = 32;
 
   // Free-block-aware routing gate (ISSUE 4): a probed replica whose last

@@ -317,8 +317,7 @@ TEST(DispatchEngineTest, DetachKeepsFlatRegistryDense) {
 TEST(DispatchEngineTest, FlushQueueWithErrorDrainsAndReports) {
   DispatchConfig config;
   config.push_mode = PushMode::kSelectivePending;
-  config.push_slack = 0;  // Nothing dispatches without a probe.
-  EngineBench bench(1, config);
+  EngineBench bench(0, config);  // No replica: every request stays queued.
   int errors = 0;
   for (int i = 0; i < 3; ++i) {
     Request req = MakeRequest(static_cast<RequestId>(i), 16, 2);
@@ -330,6 +329,40 @@ TEST(DispatchEngineTest, FlushQueueWithErrorDrainsAndReports) {
   EXPECT_EQ(bench.engine->FlushQueueWithError(), 3);
   EXPECT_EQ(errors, 3);
   EXPECT_EQ(bench.engine->queue_size(), 0u);
+}
+
+TEST(DispatchEngineDeathTest, RejectsZeroPushSlackUnderSelectivePending) {
+  // push_slack = 0 under SP-P would make every replica unavailable forever
+  // (IsAvailable tests pushes_since_probe < push_slack), silently losing
+  // every request; both construction and a hot reswap must refuse it.
+  DispatchConfig config;
+  config.push_mode = PushMode::kSelectivePending;
+  config.push_slack = 0;
+  EXPECT_DEATH(EngineBench bench(1, config), "push_slack");
+  EngineBench bench(1);
+  EXPECT_DEATH(bench.engine->ApplyConfig(config), "push_slack");
+}
+
+TEST(DispatchEngineDeathTest, RejectsZeroCapUnderSelectiveOutstanding) {
+  DispatchConfig config;
+  config.push_mode = PushMode::kSelectiveOutstanding;
+  config.max_outstanding_per_replica = 0;
+  EXPECT_DEATH(EngineBench bench(1, config), "max_outstanding_per_replica");
+  EngineBench bench(1);
+  EXPECT_DEATH(bench.engine->ApplyConfig(config),
+               "max_outstanding_per_replica");
+}
+
+TEST(DispatchEngineTest, PushBoundsOnlyBindTheirOwnMode) {
+  // The bounds are checked only where they take effect: a blind engine
+  // never reads either field.
+  DispatchConfig config;
+  config.push_mode = PushMode::kBlind;
+  config.push_slack = 0;
+  config.max_outstanding_per_replica = 0;
+  EngineBench bench(1, config);
+  bench.engine->ApplyConfig(config);
+  EXPECT_EQ(bench.engine->num_replicas(), 1u);
 }
 
 TEST(DispatchEngineTest, ProbesCarryKvLoadSnapshots) {

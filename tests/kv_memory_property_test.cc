@@ -22,7 +22,12 @@
 // invariant of ISSUE 5:
 //     cache-held refs + sequence-held refs == allocator refs,
 //     every used page has a holder, free pages have none,
-// plus tree/ledger self-consistency and non-negative exact fragmentation.
+// plus tree/ledger self-consistency, non-negative exact fragmentation, and
+// that the O(1) occupancy the probes read (PrefixCache::CountBlocks, kept
+// by the allocator's cache-reference tally) equals the full traversal
+// (CountBlocksSlow). The trace also swaps sequences out and back in,
+// copy-on-write forks shared boundary pages, reswaps the eviction policy
+// mid-trace, and clears the cache.
 
 #include <gtest/gtest.h>
 
@@ -255,6 +260,7 @@ struct LiveSeq {
   int64_t prefill_left = 0;
   int64_t generated = 0;
   bool published = false;
+  int64_t swap_tokens = 0;  // Private KV on the host while swapped out.
 };
 
 class UnifiedLedgerPropertyTest
@@ -278,6 +284,7 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
   const int64_t reserve = 96;
 
   std::vector<LiveSeq> live;
+  std::vector<LiveSeq> swapped;  // Swapped out: pin kept, no table.
   std::vector<TokenSeq> history;  // Prompt pool; extensions share prefixes.
   Token next_token = 1;
   Token next_output = 50'000'000;
@@ -293,6 +300,11 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
         << "conservation broke at op " << step;
     ASSERT_TRUE(cache.CheckInvariants()) << "op " << step;
     ASSERT_TRUE(kv.CheckConsistency()) << "op " << step;
+    // The probe's O(1) occupancy equals the full traversal.
+    const PrefixCache::BlockOccupancy fast = cache.CountBlocks();
+    const PrefixCache::BlockOccupancy slow = cache.CountBlocksSlow();
+    ASSERT_EQ(fast.held_blocks, slow.held_blocks) << "op " << step;
+    ASSERT_EQ(fast.evictable_blocks, slow.evictable_blocks) << "op " << step;
     // Exact fragmentation is non-negative: pages hold at least as many
     // slots as the tokens occupying them (token positions are disjoint
     // across the cache and sequence sides of a shared page).
@@ -329,7 +341,7 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
   };
 
   for (int step = 0; step < 3000; ++step) {
-    const int op = static_cast<int>(rng.UniformInt(0, 6));
+    const int op = static_cast<int>(rng.UniformInt(0, 10));
     if (op == 0 && live.size() < 24) {  // Admit.
       LiveSeq s;
       if (!history.empty() && rng.UniformInt(0, 1) == 0) {
@@ -410,8 +422,39 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
         ASSERT_EQ(cache.block_refs() + kv.seq_block_refs() +
                       fork.num_blocks(),
                   kv.allocator().live_refs());
+        // Diverge: a shared partial tail (possibly a boundary page the
+        // cache also holds) is copy-on-write duplicated, dropping the
+        // fork's reference on it.
+        fork.Append(kv.allocator(), block_size, rng.UniformInt(1, 40));
+        ASSERT_EQ(cache.CountBlocks().evictable_blocks,
+                  cache.CountBlocksSlow().evictable_blocks);
         fork.Clear(kv.allocator());
       }
+    } else if (op == 7 && live.size() > 1) {  // Swap out (pin kept).
+      const size_t i = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      LiveSeq s = std::move(live[i]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      s.swap_tokens = kv.SeqTokens(s.id);
+      kv.SwapOut(s.id);
+      s.id = KvController::kInvalidSeq;
+      swapped.push_back(std::move(s));
+    } else if (op == 8 && !swapped.empty()) {  // Swap back in.
+      LiveSeq s = std::move(swapped.front());
+      swapped.erase(swapped.begin());
+      SimDuration transfer = 0;
+      s.id = kv.BeginSwapIn(s.swap_tokens, s.prefill_left,
+                            std::max<int64_t>(0, reserve - s.generated),
+                            static_cast<int32_t>(s.base % block_size),
+                            &transfer);
+      live.push_back(std::move(s));
+    } else if (op == 9 && rng.UniformInt(0, 7) == 0) {  // Policy reswap.
+      cache.SetEvictionPolicy(cache.eviction_policy() ==
+                                      EvictionPolicy::kLruLeaf
+                                  ? EvictionPolicy::kColdSubtree
+                                  : EvictionPolicy::kLruLeaf);
+    } else if (op == 10 && rng.UniformInt(0, 15) == 0) {  // Drop unpinned.
+      cache.Clear();
     }
     check(step);
   }
@@ -422,6 +465,10 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
     kv.ReleaseSeq(s.id);
   }
   live.clear();
+  for (LiveSeq& s : swapped) {
+    cache.Unref(s.pin);
+  }
+  swapped.clear();
   cache.Clear();
   EXPECT_EQ(cache.size_tokens(), 0);
   EXPECT_EQ(kv.used_blocks(), 0);

@@ -53,6 +53,46 @@ TEST(BlockAllocatorTest, OvercommitGoesNegativeButCounts) {
   EXPECT_TRUE(alloc.CheckInvariants());
 }
 
+TEST(BlockAllocatorTest, CacheTallyClassifiesSharedAndPinnedPages) {
+  BlockAllocator alloc(8);
+  alloc.EnableCacheTally();
+  BlockId span[2];
+  alloc.AllocateCacheSpan(2, span);  // A new unpinned node: both evictable.
+  EXPECT_EQ(alloc.cache_held_blocks(), 2);
+  EXPECT_EQ(alloc.cache_evictable_blocks(), 2);
+  // A sequence sharing page 0 takes it out of the evictable set...
+  alloc.AddRef(span[0]);
+  EXPECT_EQ(alloc.cache_evictable_blocks(), 1);
+  // ...a second node over page 0 (a split's straddle) changes nothing more,
+  // and pinning the first node's span leaves nothing evictable.
+  alloc.AddCacheRef(span[0], /*pinned=*/false);
+  EXPECT_EQ(alloc.cache_ref_count(span[0]), 2);
+  alloc.SetCacheSpanPinned(span, 2, /*pinned=*/true);
+  EXPECT_EQ(alloc.cache_evictable_blocks(), 0);
+  EXPECT_TRUE(alloc.CheckInvariants());
+  // Unpin, then the sequence lets go: page 0 is all-unpinned-cache again.
+  alloc.SetCacheSpanPinned(span, 2, /*pinned=*/false);
+  EXPECT_EQ(alloc.cache_evictable_blocks(), 1);
+  EXPECT_FALSE(alloc.Release(span[0]));
+  EXPECT_EQ(alloc.cache_evictable_blocks(), 2);
+  // Dropping the cache references frees both pages and empties the tally.
+  EXPECT_EQ(alloc.ReleaseCacheSpan(span, 2, /*pinned=*/false), 1);
+  EXPECT_EQ(alloc.ReleaseCacheSpan(span, 1, /*pinned=*/false), 1);
+  EXPECT_EQ(alloc.cache_held_blocks(), 0);
+  EXPECT_EQ(alloc.cache_evictable_blocks(), 0);
+  EXPECT_EQ(alloc.used_blocks(), 0);
+  EXPECT_TRUE(alloc.CheckInvariants());
+  alloc.DisableCacheTally();
+}
+
+TEST(BlockAllocatorDeathTest, UntaggedReleaseOfACacheReferenceIsFatal) {
+  BlockAllocator alloc(8);
+  alloc.EnableCacheTally();
+  BlockId id;
+  alloc.AllocateCacheSpan(1, &id);
+  EXPECT_DEATH(alloc.Release(id), "untagged cache reference");
+}
+
 TEST(BlockTableTest, AppendPacksPartialTail) {
   BlockAllocator alloc(64);
   BlockTable table;

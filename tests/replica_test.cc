@@ -497,6 +497,98 @@ TEST(ReplicaPagedTest, SnapshotReportsHeadroomSignals) {
   EXPECT_EQ(drained.preemptions, replica.stats().preemptions);
 }
 
+// Snapshot() reads running counters (the ledger's cache-reference tally and
+// the batch footprint sum); SnapshotSlow() recomputes both by traversal.
+// They must agree field for field after every event of a paged replica
+// driven through preemptions, swaps, shared-prefix publishes, and a crash.
+void ExpectSnapshotsAgree(const Replica& replica, const char* where,
+                          int64_t event) {
+  const Replica::LoadSnapshot fast = replica.Snapshot();
+  const Replica::LoadSnapshot slow = replica.SnapshotSlow();
+  ASSERT_EQ(fast.pending, slow.pending) << where << " event " << event;
+  ASSERT_EQ(fast.running, slow.running) << where << " event " << event;
+  ASSERT_EQ(fast.free_capacity, slow.free_capacity)
+      << where << " event " << event;
+  ASSERT_EQ(fast.free_blocks, slow.free_blocks)
+      << where << " event " << event;
+  ASSERT_EQ(fast.total_blocks, slow.total_blocks)
+      << where << " event " << event;
+  ASSERT_EQ(fast.cache_blocks, slow.cache_blocks)
+      << where << " event " << event;
+  ASSERT_EQ(fast.evictable_blocks, slow.evictable_blocks)
+      << where << " event " << event;
+  ASSERT_EQ(fast.fragmentation_tokens, slow.fragmentation_tokens)
+      << where << " event " << event;
+  ASSERT_EQ(fast.preemptions, slow.preemptions)
+      << where << " event " << event;
+  ASSERT_EQ(fast.swapped, slow.swapped) << where << " event " << event;
+}
+
+class ReplicaSnapshotTest : public ::testing::TestWithParam<PreemptPolicy> {};
+
+TEST_P(ReplicaSnapshotTest, CountersMatchTraversalAtEveryEvent) {
+  Simulator sim;
+  ReplicaConfig config;
+  config.kv_capacity_tokens = 3072;
+  config.kv_block_size_tokens = 16;
+  config.kv_preempt_policy = GetParam();
+  config.output_reserve_tokens = 64;
+  Replica replica(&sim, 0, 0, config);
+  // Four conversation families sharing unaligned prefixes (straddled
+  // boundary pages), each request with its own unaligned suffix.
+  auto make = [](RequestId id) {
+    Request req;
+    req.id = id;
+    req.client_region = 0;
+    const Token family = static_cast<Token>(id % 4) * 100'000;
+    for (Token t = 0; t < 150 + static_cast<Token>(id % 4) * 7; ++t) {
+      req.prompt.push_back(family + t);
+    }
+    for (Token t = 0; t < 40 + static_cast<Token>(id % 13); ++t) {
+      req.prompt.push_back(50'000'000 + static_cast<Token>(id) * 1000 + t);
+    }
+    for (Token t = 0; t < 150 + static_cast<Token>(id % 5) * 30; ++t) {
+      req.output.push_back(90'000'000 + static_cast<Token>(id) * 1000 + t);
+    }
+    return req;
+  };
+  RequestId next = 0;
+  auto enqueue = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      replica.Enqueue(make(next++), {});
+    }
+  };
+  enqueue(24);
+  int64_t event = 0;
+  // Run until the pool has thrashed a few times, then crash mid-flight.
+  while (replica.stats().preemptions < 4 && sim.Step()) {
+    ExpectSnapshotsAgree(replica, "before crash", ++event);
+  }
+  ASSERT_EQ(replica.stats().preemptions, 4);
+  replica.Crash();  // Drops the batch and every unpinned cache node.
+  ExpectSnapshotsAgree(replica, "after crash", event);
+  EXPECT_EQ(replica.Snapshot().running, 0);
+  enqueue(24);
+  int64_t peak_evictable = 0;
+  while (sim.Step()) {
+    ExpectSnapshotsAgree(replica, "after restart", ++event);
+    peak_evictable =
+        std::max(peak_evictable, replica.Snapshot().evictable_blocks);
+  }
+  EXPECT_GT(peak_evictable, 0) << "completions must leave evictable pages";
+  EXPECT_EQ(replica.stats().completed + 24, next)
+      << "only the crashed batch may be lost";
+  if (GetParam() == PreemptPolicy::kSwap) {
+    EXPECT_GT(replica.kv().counters().swap_ins, 0);
+  }
+  EXPECT_TRUE(replica.cache().CheckInvariants());
+  EXPECT_TRUE(replica.kv().CheckConsistency());
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, ReplicaSnapshotTest,
+                         ::testing::Values(PreemptPolicy::kSwap,
+                                           PreemptPolicy::kRecompute));
+
 TEST(ReplicaTest, PerStepDecodeAdmissionCommitsOneBlockAtATime) {
   // ISSUE 5: with per_step_decode_admission the output reserve is committed
   // one block ahead instead of in full, so the committed-future ledger
